@@ -943,7 +943,7 @@ let check_cmd =
     let run_diff () =
       let seeds = List.init (if seeds = 0 then 2 else seeds) (fun i -> i + 1) in
       if not json then
-        Format.printf "differential: %d seeds x 4 configuration pairs@."
+        Format.printf "differential: %d seeds x 3 configuration pairs@."
           (List.length seeds);
       let outcomes = Differential.run ~seeds scale in
       Report.differential ~json fmt outcomes;
@@ -972,7 +972,7 @@ let check_cmd =
       if not json then
         Format.printf
           "delta: %d seeds, incremental repair vs full recompute (streams, \
-           final tables, cache layering, jobs)@."
+           final tables, jobs)@."
           (List.length seeds);
       let outcomes = Differential.delta ~seeds scale in
       Report.differential ~json fmt outcomes;
@@ -1015,7 +1015,8 @@ let check_cmd =
                    injection), $(b,static) (dynamic paths and attack wins \
                    audited against the static valley-free bounds), \
                    $(b,delta) (incremental delta repair vs full recompute: \
-                   byte-identical streams and final tables), $(b,churn) \
+                   byte-identical streams and final tables, jobs 1 vs 4), \
+                   $(b,churn) \
                    (trace-churn generator: distribution shape, stream \
                    structure, byte-identity), or $(b,all).")
   in

@@ -17,7 +17,6 @@ type config = {
   max_affected_per_event : int;
   pathological_prefixes : int;
   pathological_multiplier : float;
-  route_cache_size : int;
   delta_states : int;
   session_churn : Churn.config option;
 }
@@ -43,7 +42,6 @@ let default_config =
     max_affected_per_event = 40;
     pathological_prefixes = 2;
     pathological_multiplier = 2600.;
-    route_cache_size = 512;
     delta_states = 512;
     session_churn = None }
 
@@ -101,7 +99,6 @@ type stats = {
   delta_stop_early : int;
   cache_hits : int;
   cache_misses : int;
-  cache_evictions : int;
   post_horizon_dropped : int;
   final_failed : Link_set.t;
 }
@@ -133,7 +130,6 @@ type state = {
   core_links : (Asn.t * Asn.t) array;
   mutable failed : Link_set.t;
   workspace : Propagate.Workspace.t;
-  cache : Route_cache.t option;
   delta_scratch : Propagate.Delta.scratch;
   peer_ids : int array;    (* session index -> peer's graph id *)
   vis_threshold : int array;
@@ -248,7 +244,11 @@ let delta_state_for st p =
       Hashtbl.add st.delta st.origin_key.(p) (ds, ref st.delta_tick);
       ds
 
-let compute_now st p anns =
+(* The routing outcome for prefix [p]: delta repair when the engine is
+   on, otherwise the full workspace compute. Either way the outcome is
+   scratch-backed and valid only until the next compute. *)
+let outcome_for st p =
+  let anns = announcement st p in
   if st.cfg.delta_states > 0 && Propagate.Delta.supported anns then begin
     let ds = delta_state_for st p in
     let outcome, kind =
@@ -269,28 +269,6 @@ let compute_now st p anns =
         anns,
       -1 )
   end
-
-(* The routing outcome for prefix [p]. With the cache enabled, Revert /
-   Global_restore / prepend-toggle events land back on a previously-seen
-   configuration and reuse its outcome. Misses run through the shared
-   scratch (workspace or delta state) and only the {e cached} outcome
-   owns fresh arrays ({!Propagate.copy}) — scratch-backed views are
-   invalidated by the next compute and must never enter the cache. *)
-let outcome_for st p =
-  let anns = announcement st p in
-  match st.cache with
-  | None -> compute_now st p anns
-  | Some cache ->
-      let k = Route_cache.key ~anns ~failed:st.failed in
-      (match Route_cache.find cache k with
-       (* A hit serves an outcome for the {e current} configuration, but
-          the delta state may sit at an older one — its version says
-          nothing about this outcome, so report none. *)
-       | Some outcome -> (outcome, -1)
-       | None ->
-           let ((outcome, _) as r) = compute_now st p anns in
-           Route_cache.add cache k (Propagate.copy outcome);
-           r)
 
 let visible_route outcome (session : Collector.session) =
   let peer = session.Collector.id.Update.peer in
@@ -375,7 +353,7 @@ let recompute st now affected =
          st.sessions;
        if ver >= 0 then st.seen_version.(p) <- ver
        else if !any_changed then
-         (* A versionless outcome (cache hit, full compute) moved
+         (* A versionless outcome (full compute) moved
             [current.(p)] away from whatever version last derived it. *)
          st.seen_version.(p) <- -1
        end)
@@ -641,10 +619,6 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       pfx_of_origin; core_links;
       failed = Link_set.empty;
       workspace = Propagate.Workspace.create ();
-      cache =
-        (if cfg.route_cache_size > 0 then
-           Some (Route_cache.create ~capacity:cfg.route_cache_size)
-         else None);
       delta_scratch = Propagate.Delta.create_scratch ();
       peer_ids =
         Array.map
@@ -679,9 +653,6 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
   (* Time 0: full routing computation, no emissions. *)
   let initial = ref Update.Session_map.empty in
   for p = 0 to n_pfx - 1 do
-    (* Routed through [outcome_for] so the cache is seeded with every
-       prefix's baseline (no failures, no prepend) configuration — the one
-       each Revert eventually returns to. *)
     let outcome, ver = outcome_for st p in
     st.seen_version.(p) <- ver;
     Array.iteri
@@ -776,11 +747,6 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
      past it). Emit only up to [duration]; count the rest as dropped. *)
   drain st cfg.duration;
   st.n_dropped <- st.n_dropped + Pqueue.length st.outq;
-  let cache_stats =
-    match st.cache with
-    | Some c -> Route_cache.stats c
-    | None -> Route_cache.zero_stats
-  in
   Metrics.add m_churn st.n_churn;
   Metrics.add m_updates st.n_updates;
   Metrics.add m_ann st.n_ann;
@@ -799,8 +765,7 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       full_recomputations = st.n_full_recomp;
       delta_steps = st.n_delta_steps;
       delta_stop_early = st.n_delta_stop;
-      cache_hits = cache_stats.Route_cache.hits;
-      cache_misses = cache_stats.Route_cache.misses;
-      cache_evictions = cache_stats.Route_cache.evictions;
+      cache_hits = 0;
+      cache_misses = 0;
       post_horizon_dropped = st.n_dropped;
       final_failed = st.failed } )

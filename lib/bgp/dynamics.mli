@@ -46,13 +46,6 @@ type config = {
   pathological_prefixes : int;   (** super-flappers among hosting prefixes
                                      (the paper's 2000x-median anecdote) *)
   pathological_multiplier : float;
-  route_cache_size : int;        (** LRU capacity of the route cache keyed
-                                     by (announcement, failed links); [<= 0]
-                                     disables it. The emitted update stream
-                                     is byte-identical either way — the
-                                     cache only avoids recomputing
-                                     propagation outcomes already seen
-                                     (default: 512). *)
   delta_states : int;            (** LRU capacity of per-prefix
                                      {!Propagate.Delta} states; [<= 0]
                                      disables the incremental engine and
@@ -107,8 +100,7 @@ type stats = {
           unsupported shapes, plus every compute when the delta engine is
           off. Delta steps are deliberately {e not} counted here — AB
           tables comparing engines would otherwise lie.
-          [cache_hits + full_recomputations + delta_steps] = outcome
-          requests *)
+          [full_recomputations + delta_steps] = outcome requests *)
   delta_steps : int;
       (** outcome requests served by incremental {!Propagate.Delta}
           repair instead of a full recompute *)
@@ -116,8 +108,10 @@ type stats = {
       (** link repairs inside those steps proven no-ops in O(1) (the
           flapped link carried no selected route) *)
   cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
+      (** always 0: no outcome is cached. Kept, with [cache_misses], only
+          because the benchmark driver ([perfbench/main.ml]) still reads
+          both; they go together with that reader. *)
+  cache_misses : int;  (** always 0; see [cache_hits] *)
   post_horizon_dropped : int;
       (** updates scheduled past [duration] and never emitted — convergence
           delays and reset replays near the end of the run overshoot the

@@ -44,9 +44,9 @@ module Workspace : sig
       previous outcome} it produced: reading a retained outcome after the
       next compute observes the new prefix's routes, silently. Use a
       workspace only where each outcome is fully consumed before the next
-      compute — never for outcomes that are stored (e.g. in a
-      {!Route_cache}, which must use plain [compute]). A regression test
-      in [test/test_bgp.ml] pins this clobbering behaviour down.
+      compute — never for outcomes that are stored (those must use plain
+      [compute], or {!copy} the view). A regression test in
+      [test/test_bgp.ml] pins this clobbering behaviour down.
 
       {b One workspace per domain.} A workspace is single-threaded
       scratch: two domains computing through the same workspace race on
@@ -146,7 +146,7 @@ val copy : t -> t
 (** An outcome that owns its arrays. Computing through a
     {!Workspace} (or a {!Delta.state}) yields a view over reused scratch
     that the next compute invalidates; [copy] snapshots it so it can be
-    retained — this is how outcomes enter a {!Route_cache}. O(n) blits,
+    retained (the delta tests snapshot outcomes this way). O(n) blits,
     no recomputation. *)
 
 (** Incremental route repair: apply a configuration change to a retained

@@ -181,10 +181,8 @@ let static ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
    makes the claim falsifiable at the system level, per seed:
 
    - the full collector update stream must be byte-identical with delta
-     repair on and off (cache disabled, so propagation alone is on trial);
+     repair on and off;
    - the final (session, prefix) tables must agree as well;
-   - layering the route cache on top of the delta engine must still
-     change nothing;
    - worker count must not leak into delta-backed results;
    - and the delta run must actually take delta steps, otherwise the
      identity claims are vacuous. *)
@@ -192,15 +190,12 @@ let delta ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
   List.concat_map
     (fun seed ->
        let scenario = Scenario.build ~seed size in
-       let capture ~delta_states ~cache =
+       let capture ~delta_states =
          let buf = Buffer.create (1 lsl 16) in
          let ppf = Format.formatter_of_buffer buf in
          let m =
            Measurement.run
-             ~dynamics:
-               { dynamics with
-                 Dynamics.route_cache_size = (if cache then 512 else 0);
-                 delta_states }
+             ~dynamics:{ dynamics with Dynamics.delta_states }
              ~observe:(fun u -> Format.fprintf ppf "%a@." Update.pp u)
              scenario
          in
@@ -234,17 +229,12 @@ let delta ?(dynamics = default_dynamics) ?(seeds = [ 1; 2; 3; 4; 5 ]) size =
            ok = String.equal a b;
            detail = first_divergence a b }
        in
-       let stream_full, m_full = capture ~delta_states:0 ~cache:false in
-       let stream_delta, m_delta = capture ~delta_states:512 ~cache:false in
-       let stream_both, m_both = capture ~delta_states:512 ~cache:true in
+       let stream_full, m_full = capture ~delta_states:0 in
+       let stream_delta, m_delta = capture ~delta_states:512 in
        [ check ~pair:"delta-on-vs-off" ~experiment:"stream"
            stream_delta stream_full;
          check ~pair:"delta-on-vs-off" ~experiment:"final-tables"
            (final_tables m_delta) (final_tables m_full);
-         check ~pair:"delta-plus-cache-vs-off" ~experiment:"stream"
-           stream_both stream_full;
-         check ~pair:"delta-plus-cache-vs-off" ~experiment:"final-tables"
-           (final_tables m_both) (final_tables m_full);
          check ~pair:"delta-jobs-1-vs-4" ~experiment:"F3L"
            (f3l ~jobs:1 m_delta) (f3l ~jobs:4 m_delta);
          { seed; pair = "delta-engaged"; experiment = "stats";
@@ -272,45 +262,33 @@ let run ?(dynamics = default_dynamics) ?(seeds = [ 1; 2 ]) size =
          Pool.with_pool ~jobs (fun exec ->
              render As_exposure.print (As_exposure.compute ~exec m))
        in
-       (* Pair 1: the route cache is a pure memoization layer. *)
-       let cached =
-         Measurement.run
-           ~dynamics:{ dynamics with Dynamics.route_cache_size = 512 } scenario
-       in
-       let uncached =
-         Measurement.run
-           ~dynamics:{ dynamics with Dynamics.route_cache_size = 0 } scenario
-       in
-       (* Pair 2: worker count must not leak into results. *)
+       let m = Measurement.run ~dynamics scenario in
+       (* Pair 1: worker count must not leak into results. *)
        let m1 jobs =
          Pool.with_pool ~jobs (fun exec ->
              render Compromise.print
                (Compromise.compute ~rng:(Rng.of_int seed) ~exec ~trials:500
                   ~universe:800 ()))
        in
-       (* Pair 3: chunking of the work queue is invisible too; exercise a
+       (* Pair 2: chunking of the work queue is invisible too; exercise a
           real per-cell kernel rather than a toy function. *)
        let extra_counts chunk =
          Pool.with_pool ~jobs:2 (fun exec ->
-             let cells = Array.of_list cached.Measurement.cells in
+             let cells = Array.of_list m.Measurement.cells in
              Pool.map ~chunk exec
                (fun c -> Asn.Set.cardinal (Measurement.extra_ases c))
                cells
              |> Array.to_list |> List.map string_of_int |> String.concat ",")
        in
-       (* Pair 4: on a stream with no session resets the reset filter has
+       (* Pair 3: on a stream with no session resets the reset filter has
           nothing to remove, so enabling it must not change any cell. *)
        let quiet = { dynamics with Dynamics.resets_per_session = 0. } in
        let filtered = Measurement.run ~dynamics:quiet scenario in
        let unfiltered = Measurement.run ~dynamics:quiet ~no_filter:true scenario in
-       [ check ~pair:"route-cache-on-vs-off" ~experiment:"F3L"
-           (f3l cached) (f3l uncached);
-         check ~pair:"route-cache-on-vs-off" ~experiment:"F3R"
-           (f3r cached) (f3r uncached);
-         check ~pair:"jobs-1-vs-2" ~experiment:"F3L"
-           (f3l ~jobs:1 cached) (f3l ~jobs:2 cached);
+       [ check ~pair:"jobs-1-vs-2" ~experiment:"F3L"
+           (f3l ~jobs:1 m) (f3l ~jobs:2 m);
          check ~pair:"jobs-1-vs-2" ~experiment:"F3R"
-           (f3r ~jobs:1 cached) (f3r ~jobs:2 cached);
+           (f3r ~jobs:1 m) (f3r ~jobs:2 m);
          check ~pair:"jobs-1-vs-2" ~experiment:"M1" (m1 1) (m1 2);
          check ~pair:"chunk-1-vs-64" ~experiment:"F3R-kernel"
            (extra_counts 1) (extra_counts 64);

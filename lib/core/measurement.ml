@@ -290,16 +290,12 @@ let pp_dynamics_summary ppf t =
   Format.fprintf ppf
     "@[<v>dynamics: %d updates (%d announce / %d withdraw), %d churn events@,\
      propagation: %d full recomputations, %d delta steps (%d stop-early \
-     links)%s, cache %d hits / %d misses / %d evictions%s@,\
+     links)%s@,\
      horizon: %d updates dropped past t=%g, %d links still failed@]"
     s.Dynamics.updates_emitted s.Dynamics.announces s.Dynamics.withdraws
     s.Dynamics.churn_events s.Dynamics.full_recomputations
     s.Dynamics.delta_steps s.Dynamics.delta_stop_early
     (if s.Dynamics.delta_steps = 0 then " (delta disabled or unused)" else "")
-    s.Dynamics.cache_hits
-    s.Dynamics.cache_misses s.Dynamics.cache_evictions
-    (if s.Dynamics.cache_hits = 0 && s.Dynamics.cache_misses = 0
-     then " (disabled)" else "")
     s.Dynamics.post_horizon_dropped t.duration
     (Link_set.cardinal s.Dynamics.final_failed)
 

@@ -122,9 +122,9 @@ val run :
 
 val pp_dynamics_summary : Format.formatter -> t -> unit
 (** Three-line summary of the run's {!Dynamics.stats}: update counts,
-    recomputations with route-cache hit/miss/eviction counters, and the
-    horizon accounting (post-horizon drops, links still failed at the
-    end). Printed by [quicksand path-changes] and the benchmarks. *)
+    full recomputations and delta steps, and the horizon accounting
+    (post-horizon drops, links still failed at the end). Printed by
+    [quicksand path-changes] and the benchmarks. *)
 
 val cells_for_session : t -> Update.session_id -> cell list
 

@@ -138,7 +138,7 @@ let rng_for t name =
    checks all pairs derive distinct seeds (and any new generator's name
    belongs in this list). Sorted, duplicates would be a bug. *)
 let stream_names =
-  [ "ab-cache"; "ab-delta"; "ab-jobs"; "ab-loss"; "ab-obs"; "ab-radius";
+  [ "ab-delta"; "ab-jobs"; "ab-loss"; "ab-obs"; "ab-radius";
     "asymmetric"; "asymmetry"; "check-static"; "compromise";
     "consensus-epochs"; "guard-inference"; "guard-monitoring"; "hijack";
     "hijack-detect"; "interception"; "interception-path"; "long-term";

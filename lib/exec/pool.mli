@@ -15,10 +15,10 @@
     [test/test_exec.ml] and the QS305 lint rule enforce this end to end.
 
     {b Isolation.} Mutable scratch state (a {!Propagate.Workspace.t}, a
-    route cache) must never be shared across domains. {!per_domain} is the
-    resource combinator for that rule: it lazily creates one instance per
-    domain, so a task may freely use {!get} on whatever domain it happens
-    to run.
+    {!Propagate.Delta.scratch}) must never be shared across domains.
+    {!per_domain} is the resource combinator for that rule: it lazily
+    creates one instance per domain, so a task may freely use {!get} on
+    whatever domain it happens to run.
 
     {b Observability.} {!stats} reports per-domain task counts, busy and
     queue-wait times, and the accumulated wall time of parallel sections;

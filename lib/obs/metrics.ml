@@ -209,7 +209,9 @@ let quantile h q =
          end
        done
      with Exit -> ());
-    !res
+    (* A bucket bound can exceed every sample in the bucket; clamp so no
+       quantile reads outside what was actually observed. *)
+    Float.min h.max (Float.max h.min !res)
   end
 
 let registrations () =

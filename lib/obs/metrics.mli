@@ -92,7 +92,9 @@ val value : string -> value option
 val quantile : hist_view -> float -> float
 (** [quantile h q] is the upper bound of the first bucket at which the
     cumulative count reaches [q * count] (the overflow bucket reads as
-    the observed maximum). Monotone in [q]; [0.] on an empty histogram.
+    the observed maximum), clamped to [\[h.min, h.max\]] so it never
+    reports a value outside the observed range. Monotone in [q]; [0.] on
+    an empty histogram.
     @raise Invalid_argument unless [0 <= q <= 1]. *)
 
 val registrations : unit -> (string * int) list

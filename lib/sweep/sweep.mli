@@ -21,7 +21,7 @@
 type churn =
   | Calm      (** quarter of the baseline churn rate, half the resets *)
   | Baseline  (** the size's stock dynamics configuration *)
-  | Heavy     (** the churn-heavy day of the AB-cache/AB-delta ablations *)
+  | Heavy     (** the churn-heavy day of the AB-delta ablation *)
   | Trace_pareto
       (** baseline plus trace-shaped session churn with Pareto up/down
           laws ({!Churn.pareto_day}) on the dedicated trace stream *)
@@ -50,7 +50,6 @@ type vars = {
   days : float;       (** simulated measurement duration *)
   churn : churn;
   consensus : consensus;
-  cache : int;        (** route-cache LRU capacity; 0 disables *)
   delta : int;        (** delta-state LRU capacity; 0 disables *)
   obs : bool;         (** Qs_obs instrumentation during the cell *)
   adversary : float;  (** fraction f of malicious ASes; 0 = no adversary *)
@@ -60,7 +59,7 @@ type vars = {
 
 val default_vars : vars
 (** Small scenario, seed 1, one simulated day, baseline churn, frozen
-    consensus (no M2 stage), stock cache/delta capacities (512),
+    consensus (no M2 stage), stock delta-state capacity (512),
     instrumentation on, no adversary, 3 guards / 30 days, the paper's
     300 s exposure threshold. *)
 
@@ -90,7 +89,7 @@ val identity : vars -> string
 
 val dynamics : vars -> Dynamics.config
 (** The dynamics configuration a cell runs: the size's stock config with
-    the duration, churn preset and cache/delta capacities applied. *)
+    the duration, churn preset and delta-state capacity applied. *)
 
 (** {1 Registry entries} *)
 
@@ -109,7 +108,7 @@ type entry = {
 }
 
 val builtin : entry list
-(** The shipped registry: the ported AB-cache/AB-delta/AB-obs ablations,
+(** The shipped registry: the ported AB-delta/AB-obs ablations,
     the paper's exposure matrix, the trace-churn day, the M2
     frozen-vs-living consensus pair, and the tiny CI matrix. *)
 

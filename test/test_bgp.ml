@@ -228,25 +228,6 @@ let test_copy_owns_arrays () =
     (Some 4) (hop first (asn 2));
   check_int "copy still counts all routed ASes" 4 (Propagate.routed_count first)
 
-(* The dynamics cache-miss path is [compute ~workspace] + [copy]: it must
-   allocate strictly less than a cold [compute] (which builds all five
-   arrays, two settle arrays and two bucket tables from scratch). *)
-let test_workspace_copy_alloc_bound () =
-  let ix = diamond () in
-  let ws = Propagate.Workspace.create () in
-  ignore (Propagate.compute ix ~workspace:ws [ origin4 ] : Propagate.t);
-  let bytes f =
-    let before = Gc.allocated_bytes () in
-    ignore (f () : Propagate.t);
-    Gc.allocated_bytes () -. before
-  in
-  let cold = bytes (fun () -> Propagate.compute ix [ origin4 ]) in
-  let miss =
-    bytes (fun () -> Propagate.copy (Propagate.compute ix ~workspace:ws [ origin4 ]))
-  in
-  check_bool "workspace+copy allocates less than a cold compute" true
-    (miss < cold)
-
 (* ---- Propagate.Delta ------------------------------------------------- *)
 
 (* Every AS agrees between a delta-maintained outcome and a fresh full
@@ -952,38 +933,6 @@ let dynamics_stream config world rng =
   Format.pp_print_flush ppf ();
   (Buffer.contents buf, stats)
 
-(* The route cache is a pure memoization: same seed, byte-identical
-   rendered stream with the cache on and off. *)
-let test_dynamics_cache_transparent () =
-  let cached_cfg = { tiny_config with Dynamics.route_cache_size = 64 } in
-  let uncached_cfg = { tiny_config with Dynamics.route_cache_size = 0 } in
-  let rng, world = small_world 11 in
-  let cached, cs = dynamics_stream cached_cfg world rng in
-  let rng, world = small_world 11 in
-  let uncached, us = dynamics_stream uncached_cfg world rng in
-  check_bool "streams byte-identical" true (String.equal cached uncached);
-  check_bool "cache actually used" true (cs.Dynamics.cache_hits > 0);
-  check_int "uncached run has no hits" 0 us.Dynamics.cache_hits;
-  check_int "hits + computes = outcome requests"
-    (us.Dynamics.full_recomputations + us.Dynamics.delta_steps)
-    (cs.Dynamics.cache_hits + cs.Dynamics.full_recomputations
-     + cs.Dynamics.delta_steps)
-
-let prop_dynamics_cache_identical =
-  QCheck.Test.make ~name:"cache on/off streams identical across seeds"
-    ~count:5
-    QCheck.(int_bound 1000)
-    (fun seed ->
-       let run cache_size =
-         let rng, world = small_world seed in
-         dynamics_stream
-           { tiny_config with Dynamics.route_cache_size = cache_size }
-           world rng
-       in
-       let cached, _ = run 32 in
-       let uncached, _ = run 0 in
-       String.equal cached uncached)
-
 (* The delta engine is a pure reimplementation of propagation: same seed,
    byte-identical stream with delta repair on and off (and the delta run
    must actually take delta steps for the claim to mean anything). *)
@@ -991,9 +940,7 @@ let test_dynamics_delta_transparent () =
   let run delta_states =
     let rng, world = small_world 13 in
     dynamics_stream
-      { tiny_config with
-        Dynamics.route_cache_size = 0; delta_states }
-      world rng
+      { tiny_config with Dynamics.delta_states } world rng
   in
   let on, s_on = run 4096 in
   let off, s_off = run 0 in
@@ -1012,8 +959,7 @@ let test_dynamics_delta_eviction_transparent () =
   let run delta_states =
     let rng, world = small_world 17 in
     dynamics_stream
-      { tiny_config with Dynamics.route_cache_size = 0; delta_states }
-      world rng
+      { tiny_config with Dynamics.delta_states } world rng
   in
   let tiny, s_tiny = run 2 in
   let big, _ = run 4096 in
@@ -1031,8 +977,7 @@ let prop_dynamics_delta_identical =
        let run delta_states =
          let rng, world = small_world seed in
          dynamics_stream
-           { tiny_config with Dynamics.route_cache_size = 0; delta_states }
-           world rng
+           { tiny_config with Dynamics.delta_states } world rng
        in
        let on, _ = run 4096 in
        let off, _ = run 0 in
@@ -1180,9 +1125,7 @@ let () =
          Alcotest.test_case "rejects empty" `Quick test_propagate_rejects;
          Alcotest.test_case "workspace clobbers retained outcome" `Quick
            test_workspace_clobbers_retained_outcome;
-         Alcotest.test_case "copy owns its arrays" `Quick test_copy_owns_arrays;
-         Alcotest.test_case "workspace+copy allocation bound" `Quick
-           test_workspace_copy_alloc_bound ]
+         Alcotest.test_case "copy owns its arrays" `Quick test_copy_owns_arrays ]
        @ qsuite [ prop_propagate_valley_free; prop_propagate_connected_coverage;
                   prop_propagate_failure_valley_free ]);
       ("delta",
@@ -1237,10 +1180,8 @@ let () =
          Alcotest.test_case "horizon clamp" `Quick test_dynamics_horizon_clamp;
          Alcotest.test_case "reverts past horizon" `Quick
            test_dynamics_reverts_past_horizon;
-         Alcotest.test_case "cache transparent" `Quick
-           test_dynamics_cache_transparent;
          Alcotest.test_case "delta transparent" `Quick
            test_dynamics_delta_transparent;
          Alcotest.test_case "delta eviction transparent" `Quick
            test_dynamics_delta_eviction_transparent ]
-       @ qsuite [ prop_dynamics_cache_identical; prop_dynamics_delta_identical ]) ]
+       @ qsuite [ prop_dynamics_delta_identical ]) ]

@@ -175,6 +175,28 @@ let test_quantile_monotone () =
           let q2 = float_of_int (max a b) /. 100. in
           Metrics.quantile v q1 <= Metrics.quantile v q2))
 
+(* A bucket's upper bound can lie above every sample in it (samples
+   [0.5] under bounds [1.] would read p50 = 1): no quantile may report a
+   value outside the observed [min, max]. *)
+let test_quantile_within_range () =
+  let name = fresh () in
+  let h = Metrics.histogram ~buckets:[| 1. |] name in
+  Metrics.observe h 0.5;
+  check_bool "single sample reads itself" true
+    (Metrics.quantile (hist_value name) 0.5 = 0.5);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:100 ~name:"quantile within [min, max]"
+       QCheck.(pair
+                 (list_of_size Gen.(1 -- 50) (int_bound 1000))
+                 (int_bound 100))
+       (fun (xs, a) ->
+          let name = fresh () in
+          let h = Metrics.histogram ~buckets:bounds name in
+          List.iter (fun x -> Metrics.observe h (float_of_int x)) xs;
+          let v = hist_value name in
+          let q = Metrics.quantile v (float_of_int a /. 100.) in
+          v.Metrics.min <= q && q <= v.Metrics.max))
+
 let test_merge_conserves_observations () =
   Pool.with_pool ~jobs:4 (fun pool ->
       QCheck.Test.check_exn
@@ -273,13 +295,6 @@ let test_registry_matches_legacy_stats () =
   let s = Scenario.build ~seed:3 Scenario.Small in
   let m = Measurement.run ~dynamics:short_dynamics s in
   let d = m.Measurement.dyn_stats in
-  check_int "route_cache.hits pins cache_hits" d.Dynamics.cache_hits
-    (counter_value "route_cache.hits");
-  check_int "route_cache.misses pins cache_misses" d.Dynamics.cache_misses
-    (counter_value "route_cache.misses");
-  check_int "hits + misses pin the request total"
-    (d.Dynamics.cache_hits + d.Dynamics.cache_misses)
-    (counter_value "route_cache.hits" + counter_value "route_cache.misses");
   check_int "dynamics.updates_emitted pins the stream size"
     d.Dynamics.updates_emitted
     (counter_value "dynamics.updates_emitted");
@@ -288,12 +303,6 @@ let test_registry_matches_legacy_stats () =
     (counter_value "dynamics.full_recomputations");
   check_int "dynamics.delta_steps pins delta steps" d.Dynamics.delta_steps
     (counter_value "dynamics.delta_steps");
-  check_int "hits + full + delta pin the outcome request total"
-    (d.Dynamics.cache_hits + d.Dynamics.full_recomputations
-     + d.Dynamics.delta_steps)
-    (counter_value "route_cache.hits"
-     + counter_value "dynamics.full_recomputations"
-     + counter_value "dynamics.delta_steps");
   match m.Measurement.filter_stats with
   | None -> Alcotest.fail "session-reset filter expected on by default"
   | Some f ->
@@ -370,8 +379,8 @@ let golden = {gold|{
   "churn.trace_events": 0,
   "dynamics.announces": 21636,
   "dynamics.churn_events": 883,
-  "dynamics.delta_steps": 10931,
-  "dynamics.delta_stop_early": 23368,
+  "dynamics.delta_steps": 10962,
+  "dynamics.delta_stop_early": 23372,
   "dynamics.full_recomputations": 220,
   "dynamics.post_horizon_dropped": 1,
   "dynamics.updates_emitted": 28664,
@@ -381,9 +390,6 @@ let golden = {gold|{
   "measurement.cells": 3985,
   "measurement.updates": 26678,
   "obs.spans": 0,
-  "route_cache.evictions": 10639,
-  "route_cache.hits": 31,
-  "route_cache.misses": 11151,
   "scenario.builds": 1,
   "session_reset.bursts": 7,
   "session_reset.dropped": 1986,
@@ -394,7 +400,7 @@ let golden = {gold|{
   "exec.jobs": <jobs-dependent>
 },
 "histograms": {
-  "dynamics.delta_frontier": {"count": 10931, <timing and buckets masked>,
+  "dynamics.delta_frontier": {"count": 10962, <timing and buckets masked>,
   "exec.busy_seconds": {"count": 1, <timing and buckets masked>,
   "exec.sweep_seconds": {"count": 1, <timing and buckets masked>,
   "exec.wait_seconds": {"count": 1, <timing and buckets masked>
@@ -428,6 +434,8 @@ let () =
          Alcotest.test_case "reset_all" `Quick test_reset_all ]);
       ("laws",
        [ Alcotest.test_case "quantile monotone" `Quick test_quantile_monotone;
+         Alcotest.test_case "quantile within min/max" `Quick
+           test_quantile_within_range;
          Alcotest.test_case "merge conserves observations" `Quick
            test_merge_conserves_observations;
          Alcotest.test_case "merge commutes across jobs" `Quick

@@ -42,7 +42,8 @@ let test_set_parses_and_ranges () =
   check_bool "zero days rejected" true (rejected "days" "0");
   check_bool "oversized days rejected" true (rejected "days" "400");
   check_bool "adversary above 1 rejected" true (rejected "adversary" "1.5");
-  check_bool "negative cache rejected" true (rejected "cache" "-4");
+  check_bool "removed cache key rejected as unknown" true
+    (rejected "cache" "512");
   check_bool "negative threshold rejected" true (rejected "threshold" "-1");
   check_bool "guards 0/10 rejected" true (rejected "guards" "0/10");
   check_bool "guards garbage rejected" true (rejected "guards" "three");
@@ -73,11 +74,10 @@ let test_dynamics_presets () =
     List.fold_left
       (fun v (k, x) -> set_exn v k x)
       Sweep.default_vars
-      [ ("days", "2"); ("cache", "7"); ("delta", "9") ]
+      [ ("days", "2"); ("delta", "9") ]
   in
   let d = Sweep.dynamics v in
   Alcotest.(check (float 1e-6)) "duration" (2. *. 86_400.) d.Dynamics.duration;
-  check_int "cache capacity" 7 d.Dynamics.route_cache_size;
   check_int "delta capacity" 9 d.Dynamics.delta_states;
   let base = Dynamics.short_config in
   let calm = Sweep.dynamics (set_exn v "churn" "calm") in

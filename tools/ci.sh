@@ -20,7 +20,7 @@
 #   6. quicksand check --suite delta
 #                       — delta-vs-full propagation equivalence: byte-
 #                         identical update streams and final tables
-#                         across 5 seeds, cache on/off, jobs 1 vs 4;
+#                         across 5 seeds, delta on/off, jobs 1 vs 4;
 #   7. quicksand check --suite churn
 #                       — the trace-churn statistical harness across
 #                         5 seeds: distribution shape (mean/median/KS),
