@@ -355,9 +355,9 @@ let () =
 
   section "AB-obs" "ablation — Qs_obs instrumentation on vs off (F3L dynamics kernel)"
     (fun () ->
-       (* Declared as the `ab-obs` sweep registry entry, whose test pins
-          the correctness half (identical measured numbers both arms);
-          this bench arm keeps the cost half. *)
+       (* The correctness half (identical measured numbers both arms) is
+          the metrics-off ablation test in test/test_obs.ml; this bench
+          arm keeps the cost half. *)
        (* Every hot-path counter bump in Dynamics/Session_reset/Pool goes
           through the registry; this proves the cost is in the noise. Runs
           alternate on/off so drift hits both arms equally, and each arm

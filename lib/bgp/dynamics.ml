@@ -1,20 +1,10 @@
 type config = {
   duration : float;
   base_churn_rate : float;
-  churn_alpha : float;
-  churn_xmin : float;
-  hosting_churn_factor : float;
-  max_rate_multiplier : float;
   mean_outage : float;
   global_link_events : int;
   mean_global_outage : float;
   resets_per_session : float;
-  reset_transfer_time : float;
-  convergence_transients : bool;
-  transient_prob : float;
-  mrai : float;
-  convergence_delay_max : float;
-  max_affected_per_event : int;
   pathological_prefixes : int;
   pathological_multiplier : float;
   delta_states : int;
@@ -23,23 +13,25 @@ type config = {
 
 let day = 86_400.
 
+(* Model constants: fixed parts of the generative model that no run
+   varies (the per-run knobs are in [config]). *)
+let churn_alpha = 1.5           (* Pareto shape of per-prefix rate multipliers *)
+let churn_xmin = 0.5            (* Pareto scale of the multipliers *)
+let hosting_churn_factor = 1.5  (* extra multiplier per unit of hosting *)
+let max_rate_multiplier = 400.  (* cap on the combined multiplier *)
+let reset_transfer_time = 45.   (* seconds a table replay takes *)
+let transient_prob = 0.35       (* chance a change shows transients *)
+let mrai = 28.                  (* spacing between transients, s *)
+let convergence_delay_max = 40. (* final path settles within this, s *)
+let max_affected_per_event = 40 (* bound on prefixes recomputed per event *)
+
 let default_config =
   { duration = 30. *. day;
     base_churn_rate = 1.5;
-    churn_alpha = 1.5;
-    churn_xmin = 0.5;
-    hosting_churn_factor = 1.5;
-    max_rate_multiplier = 400.;
     mean_outage = 2800.;
     global_link_events = 12;
     mean_global_outage = 1800.;
     resets_per_session = 2.5;
-    reset_transfer_time = 45.;
-    convergence_transients = true;
-    transient_prob = 0.35;
-    mrai = 28.;
-    convergence_delay_max = 40.;
-    max_affected_per_event = 40;
     pathological_prefixes = 2;
     pathological_multiplier = 2600.;
     delta_states = 512;
@@ -311,16 +303,14 @@ let recompute st now affected =
               let next =
                 if vis then Propagate.route_at_id outcome peer_id else None
               in
-              let delay = 2. +. Rng.float st.rng st.cfg.convergence_delay_max in
+              let delay = 2. +. Rng.float st.rng convergence_delay_max in
               let id = session.Collector.id in
               (match next with
                | None -> schedule_update st (now +. delay) id (Update.Withdraw st.pfxs.(p))
                | Some route ->
                    let base = now +. delay in
                    let n_transients =
-                     if st.cfg.convergence_transients
-                        && Rng.float st.rng 1.0 < st.cfg.transient_prob
-                     then begin
+                     if Rng.float st.rng 1.0 < transient_prob then begin
                        (* Path exploration: the peer walks through alternate
                           candidates before settling on [route]. *)
                        let peer = id.Update.peer in
@@ -336,7 +326,7 @@ let recompute st now affected =
                          (fun i (c : Route.t) ->
                             let path = peer :: c.Route.as_path in
                             schedule_update st
-                              (base +. (float_of_int i *. st.cfg.mrai))
+                              (base +. (float_of_int i *. mrai))
                               id
                               (Update.Announce (Route.make st.pfxs.(p) path)))
                          transients;
@@ -345,7 +335,7 @@ let recompute st now affected =
                      else 0
                    in
                    schedule_update st
-                     (base +. (float_of_int n_transients *. st.cfg.mrai))
+                     (base +. (float_of_int n_transients *. mrai))
                      id (Update.Announce route));
               st.previous.(p).(s_idx) <- old;
               st.current.(p).(s_idx) <- next
@@ -364,13 +354,13 @@ let recompute st now affected =
 let prefixes_of_origin st o =
   Option.value ~default:[] (Asn.Table.find_opt st.pfx_of_origin o)
 
-let cap st l =
+let cap l =
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
     | x :: tl -> x :: take (n - 1) tl
   in
-  take st.cfg.max_affected_per_event l
+  take max_affected_per_event l
 
 let dedup l = List.sort_uniq Int.compare l
 
@@ -398,9 +388,9 @@ let handle_churn st now p =
         let affected =
           dedup
             (prefixes_of_origin st o
-             @ List.concat_map (prefixes_of_origin st) (cap st (As_graph.customers g o)))
+             @ List.concat_map (prefixes_of_origin st) (cap (As_graph.customers g o)))
         in
-        fail_link st now o up (cap st affected)
+        fail_link st now o up (cap affected)
   end
   else if roll < 0.8 then begin
     (* Upstream flap: a link one AS up from the origin flaps. *)
@@ -418,9 +408,9 @@ let handle_churn st now p =
                  (prefixes_of_origin st o
                   @ prefixes_of_origin st pr
                   @ List.concat_map (prefixes_of_origin st)
-                      (cap st (As_graph.customers g pr)))
+                      (cap (As_graph.customers g pr)))
              in
-             fail_link st now pr x (cap st affected))
+             fail_link st now pr x (cap affected))
   end
   else begin
     (* Traffic-engineering prepend toggle. *)
@@ -496,11 +486,11 @@ let handle_trace_down st now e =
   if uplinks <> [] then begin
     List.iter (fun up -> st.failed <- Link_set.add o up st.failed) uplinks;
     let affected =
-      cap st
+      cap
         (dedup
            (prefixes_of_origin st o
             @ List.concat_map (prefixes_of_origin st)
-                (cap st (As_graph.customers g o))))
+                (cap (As_graph.customers g o))))
     in
     st.trace_links.(e) <- List.map (fun up -> (o, up)) uplinks;
     st.trace_affected.(e) <- affected;
@@ -524,14 +514,14 @@ let handle_trace_up st now e =
 let handle_reset st now s_idx =
   let session = st.sessions.(s_idx) in
   let id = session.Collector.id in
-  let finish = now +. st.cfg.reset_transfer_time in
+  let finish = now +. reset_transfer_time in
   st.resets <- (id, now, finish) :: st.resets;
   Array.iteri
     (fun p per_session ->
        match per_session.(s_idx) with
        | None -> ()
        | Some route ->
-           let at = now +. Rng.float st.rng st.cfg.reset_transfer_time in
+           let at = now +. Rng.float st.rng reset_transfer_time in
            (* A slice of the table is replayed through a stale path first:
               the peer itself is still converging during the transfer. *)
            (match st.previous.(p).(s_idx) with
@@ -572,10 +562,10 @@ let run ~rng ?trace_rng ?(on_initial = fun _ -> ()) cfg w ~emit =
       (fun o ->
          let hosting = (As_graph.info w.graph o).As_graph.hosting_weight in
          let m =
-           Rng.pareto rng ~alpha:cfg.churn_alpha ~xmin:cfg.churn_xmin
-           *. (1. +. (cfg.hosting_churn_factor *. hosting))
+           Rng.pareto rng ~alpha:churn_alpha ~xmin:churn_xmin
+           *. (1. +. (hosting_churn_factor *. hosting))
          in
-         Float.min m cfg.max_rate_multiplier)
+         Float.min m max_rate_multiplier)
       origins
   in
   (* A couple of pathological super-flappers among hosting-AS prefixes —

@@ -18,6 +18,14 @@
     - {b session resets}: collector sessions occasionally reset and replay
       their whole table (to be filtered out by {!Session_reset}).
 
+    The parts of the model no run varies are fixed constants, not
+    [config] fields: Pareto rate multipliers with shape 1.5 and scale
+    0.5, times [1 + 1.5 * hosting_weight], capped at 400; at most 40
+    prefixes recomputed per event; final paths settle 2–42 s after the
+    event, with a 35% chance of up to two path-exploration transients
+    spaced 28 s (MRAI) apart; a session reset replays its table over
+    45 s.
+
     The simulator maintains ground truth (which updates are reset
     artifacts, which links failed when) so that detection and measurement
     code can be evaluated against it. All updates are emitted in
@@ -27,33 +35,23 @@ type config = {
   duration : float;              (** simulated seconds (default: 30 days) *)
   base_churn_rate : float;       (** mean churn events per background prefix
                                      per [duration] *)
-  churn_alpha : float;           (** Pareto shape of per-prefix rate
-                                     multipliers (heavy tail) *)
-  churn_xmin : float;            (** Pareto scale of the multipliers *)
-  hosting_churn_factor : float;  (** extra multiplier per unit of
-                                     [hosting_weight] *)
-  max_rate_multiplier : float;   (** cap on the combined multiplier *)
   mean_outage : float;           (** mean duration of a perturbation, s *)
   global_link_events : int;      (** number of core-link failures *)
   mean_global_outage : float;
   resets_per_session : float;    (** expected session resets per session *)
-  reset_transfer_time : float;   (** seconds a table replay takes *)
-  convergence_transients : bool; (** emit path-exploration transients *)
-  transient_prob : float;        (** chance a change shows transients *)
-  mrai : float;                  (** spacing between transients, s *)
-  convergence_delay_max : float; (** final path settles within this, s *)
-  max_affected_per_event : int;  (** bound on prefixes recomputed per event *)
   pathological_prefixes : int;   (** super-flappers among hosting prefixes
                                      (the paper's 2000x-median anecdote) *)
   pathological_multiplier : float;
-  delta_states : int;            (** LRU capacity of per-prefix
-                                     {!Propagate.Delta} states; [<= 0]
-                                     disables the incremental engine and
-                                     every compute runs full. The stream is
+  delta_states : int;            (** LRU capacity, in origins, of retained
+                                     {!Propagate.Delta} states (one state
+                                     serves all of an origin's prefixes);
+                                     [<= 0] disables the incremental engine
+                                     and every outcome is full-computed —
+                                     the oracle [check --suite delta]
+                                     compares against. The stream is
                                      byte-identical either way — delta
                                      repair reaches the same unique fixed
                                      point, it just does O(affected) work
-                                     ([check --suite delta] enforces this)
                                      (default: 512). *)
   session_churn : Churn.config option;
       (** trace-shaped session churn: per-origin heavy-tailed up/down

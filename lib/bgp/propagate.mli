@@ -205,8 +205,9 @@ val copy : t -> t
     scratch like a workspace and may be shared across many states. *)
 module Delta : sig
   type state
-  (** Per-prefix retained fixed point plus the configuration it is the
-      fixed point of. *)
+  (** Per-origin retained fixed point plus the configuration it is the
+      fixed point of. The routing arrays do not depend on the prefix, so
+      one state serves every prefix its origin announces. *)
 
   type scratch
   (** Reusable repair scratch (wave queue, epoch marks, a rebuild

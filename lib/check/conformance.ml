@@ -174,13 +174,9 @@ let check_measurement (m : Measurement.t) =
               fs.Session_reset.buffered));
   List.rev !out
 
-let run ?dynamics ?filter ?no_filter ?extra_updates scenario =
-  let dcfg = Option.value ~default:Dynamics.default_config dynamics in
-  let t = create ~duration:dcfg.Dynamics.duration () in
-  let m =
-    Measurement.run ~dynamics:dcfg ?filter ?no_filter ?extra_updates
-      ~observe:(observe t) scenario
-  in
+let run ?(dynamics = Dynamics.default_config) scenario =
+  let t = create ~duration:dynamics.Dynamics.duration () in
+  let m = Measurement.run ~dynamics ~observe:(observe t) scenario in
   let violations =
     finalize ~initial:m.Measurement.initial t @ check_measurement m
   in

@@ -60,11 +60,7 @@ val check_measurement : Measurement.t -> violation list
     (cumulative and contiguous), visibility bounds, filter accounting. *)
 
 val run :
-  ?dynamics:Dynamics.config ->
-  ?filter:Session_reset.config ->
-  ?no_filter:bool ->
-  ?extra_updates:Update.t list ->
-  Scenario.t -> Measurement.t * violation list
+  ?dynamics:Dynamics.config -> Scenario.t -> Measurement.t * violation list
 (** Run the full measurement pipeline with the checker installed as its
     [observe] hook, then {!finalize} against the pipeline's own time-0
     tables and append {!check_measurement}. An empty list means the run

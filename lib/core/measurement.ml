@@ -174,27 +174,12 @@ let m_cells =
   Metrics.counter ~help:"(session, prefix) cells materialized"
     "measurement.cells"
 
-let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
-    ?(extra_updates = []) ?observe scenario =
-  Span.with_ ~name:"measurement.run" @@ fun () ->
-  let n_consumed = ref 0 in
-  let rng = Scenario.rng_for scenario "measurement" in
-  let table : Acc.t Key_table.t = Key_table.create 65536 in
-  let get_acc key =
-    match Key_table.find_opt table key with
-    | Some a -> a
-    | None ->
-        let a = Acc.create () in
-        Key_table.replace table key a;
-        a
-  in
-  let consume (u : Update.t) =
-    incr n_consumed;
-    (match observe with Some f -> f u | None -> ());
-    let key = { session = u.Update.session; prefix = Update.prefix u } in
-    ignore (Acc.consume (get_acc key) u : Acc.event)
-  in
-  (* Merge the (time-sorted) attack updates into the stream. *)
+(* The only place the feed is built (tools/check_mli.sh rule 6): batch
+   measurement and the qs_serve replay both consume it, so the update
+   sequence they see is the same by construction. *)
+let feed ?(dynamics = Dynamics.default_config) ?(no_filter = false)
+    ?(extra_updates = []) ~on_baseline ~consume scenario =
+  (* Merge the (time-sorted) extra updates into the stream. *)
   let pending_extra = ref extra_updates in
   let flush_extra_until time =
     let rec loop () =
@@ -213,7 +198,7 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   in
   let filter_state =
     if no_filter then None
-    else Some (Session_reset.create ?config:filter ~emit:downstream ())
+    else Some (Session_reset.create ~emit:downstream ())
   in
   (* Tick the filter with the input clock before each push: emission
      delay becomes bounded by the filter window and the post-filter
@@ -239,16 +224,16 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
           | None -> ());
          Prefix.Map.iter
            (fun prefix route ->
-              let acc = get_acc { session; prefix } in
-              Acc.set_baseline acc (Route.as_set route))
+              on_baseline { session; prefix } (Route.as_set route))
            table0)
       initial
   in
   let initial, dyn_stats =
     (* The trace-churn generator (when [dynamics.session_churn] is set)
        rides the scenario's dedicated stream so the Poisson processes on
-       [rng] are untouched by the choice of trace model. *)
-    Dynamics.run ~rng
+       the measurement stream are untouched by the choice of trace model. *)
+    Dynamics.run
+      ~rng:(Scenario.rng_for scenario "measurement")
       ~trace_rng:(Scenario.rng_for scenario "trace-churn")
       ~on_initial dynamics scenario.Scenario.world ~emit
   in
@@ -256,6 +241,32 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
    | Some f -> Session_reset.flush f
    | None -> ());
   flush_extra_until infinity;
+  (initial, dyn_stats, Option.map Session_reset.stats filter_state)
+
+let run ?(dynamics = Dynamics.default_config) ?no_filter ?extra_updates
+    ?observe scenario =
+  Span.with_ ~name:"measurement.run" @@ fun () ->
+  let n_consumed = ref 0 in
+  let table : Acc.t Key_table.t = Key_table.create 65536 in
+  let get_acc key =
+    match Key_table.find_opt table key with
+    | Some a -> a
+    | None ->
+        let a = Acc.create () in
+        Key_table.replace table key a;
+        a
+  in
+  let consume (u : Update.t) =
+    incr n_consumed;
+    (match observe with Some f -> f u | None -> ());
+    let key = { session = u.Update.session; prefix = Update.prefix u } in
+    ignore (Acc.consume (get_acc key) u : Acc.event)
+  in
+  let initial, dyn_stats, filter_stats =
+    feed ~dynamics ?no_filter ?extra_updates
+      ~on_baseline:(fun key set -> Acc.set_baseline (get_acc key) set)
+      ~consume scenario
+  in
   let duration = dynamics.Dynamics.duration in
   let visibility = Prefix.Table.create 4096 in
   let cells =
@@ -280,9 +291,7 @@ let run ?(dynamics = Dynamics.default_config) ?filter ?(no_filter = false)
   in
   Metrics.add m_updates !n_consumed;
   Metrics.add m_cells (List.length cells);
-  { scenario; duration; initial; cells; dyn_stats;
-    filter_stats = Option.map Session_reset.stats filter_state;
-    visibility;
+  { scenario; duration; initial; cells; dyn_stats; filter_stats; visibility;
     n_sessions = List.length (Scenario.sessions scenario) }
 
 let pp_dynamics_summary ppf t =

@@ -107,18 +107,34 @@ type t = {
   n_sessions : int;
 }
 
+val feed :
+  ?dynamics:Dynamics.config ->
+  ?no_filter:bool ->
+  ?extra_updates:Update.t list ->
+  on_baseline:(key -> Asn.Set.t -> unit) ->
+  consume:(Update.t -> unit) ->
+  Scenario.t -> Dynamics.initial * Dynamics.stats * Session_reset.stats option
+(** The measurement feed, built in this one place for every consumer:
+    {!Dynamics.run} on the scenario's ["measurement"] stream (trace churn
+    on ["trace-churn"]), then the tick-driven {!Session_reset} filter,
+    then the time merge of [extra_updates] (which must be time-sorted).
+    [on_baseline] sees every time-0 table route before any update flows;
+    [consume] then sees the post-filter stream in global time order.
+    [no_filter] disables session-reset filtering (the ablation; the
+    filter stats are then [None]). Returns the time-0 tables and the
+    dynamics and filter accounting. {!run} and the [Qs_serve] replay
+    are both this feed, so they see the same update sequence. *)
+
 val run :
   ?dynamics:Dynamics.config ->
-  ?filter:Session_reset.config ->
   ?no_filter:bool ->
   ?extra_updates:Update.t list ->
   ?observe:(Update.t -> unit) ->
   Scenario.t -> t
-(** Runs the full pipeline (deterministic given the scenario; the RNG
-    stream is derived from the scenario seed). [no_filter] disables
-    session-reset filtering (the ablation). [observe] sees every
-    post-filter update, in per-session time order — attach monitors here.
-    [extra_updates] must be time-sorted. *)
+(** Runs the full pipeline: {!feed} into one {!Acc} per key
+    (deterministic given the scenario; the RNG streams are derived from
+    the scenario seed). [observe] sees every post-filter update, in
+    global time order — attach monitors here. *)
 
 val pp_dynamics_summary : Format.formatter -> t -> unit
 (** Three-line summary of the run's {!Dynamics.stats}: update counts,

@@ -11,7 +11,6 @@ type vars = {
   churn : churn;
   consensus : consensus;
   delta : int;
-  obs : bool;
   adversary : float;
   guards : guards;
   threshold : float;
@@ -24,7 +23,6 @@ let default_vars =
     churn = Baseline;
     consensus = Frozen;
     delta = 512;
-    obs = true;
     adversary = 0.;
     guards = Guards { n = 3; rotation_days = 30 };
     threshold = 300. }
@@ -38,8 +36,8 @@ let known_keys =
     ("consensus", "M2 consensus model: frozen (no M2 stage) | frozen-m2 \
                    (M2 on the frozen snapshot) | live-hourly | live-heavy \
                    (M2 on hourly living epochs)");
-    ("delta", "delta-state LRU capacity; 0 disables");
-    ("obs", "qs_obs instrumentation during the cell: on | off");
+    ("delta", "delta-state LRU capacity in origins; 0 full-computes \
+               every outcome");
     ("adversary", "fraction of malicious ASes, in [0, 1]; 0 = no adversary");
     ("guards", "guard policy: none | N/D (N guards, rotate every D days) | \
                 N/never");
@@ -147,11 +145,6 @@ let set v ~key ~value =
       as_int "delta" (fun i ->
           if i < 0 then bad "delta: must be >= 0, got %d" i
           else Ok { v with delta = i })
-  | "obs" ->
-      (match value with
-       | "on" -> Ok { v with obs = true }
-       | "off" -> Ok { v with obs = false }
-       | _ -> bad "obs: expected on | off, got %S" value)
   | "adversary" ->
       as_float "adversary" (fun x ->
           if x < 0. || x > 1. then
@@ -168,7 +161,7 @@ let set v ~key ~value =
   | k -> bad "unknown key %S (see `quicksand sweep --list`)" k
 
 (* Sorted by key: adversary, churn, consensus, days, delta, guards,
-   obs, threshold. Seed and size are carried by the fingerprint's own
+   threshold. Seed and size are carried by the fingerprint's own
    identity section, so repeating them here would double-count nothing and
    desync eventually. *)
 let canonical_bindings v =
@@ -178,7 +171,6 @@ let canonical_bindings v =
     ("days", float_str v.days);
     ("delta", string_of_int v.delta);
     ("guards", guards_to_string v.guards);
-    ("obs", if v.obs then "on" else "off");
     ("threshold", float_str v.threshold) ]
 
 let identity v =
@@ -245,12 +237,6 @@ let builtin =
       base = Some "churn-day";
       overlay = [];
       axes = [ ("delta", [ "0"; "4096" ]) ] };
-    { name = "ab-obs";
-      doc = "AB-obs ablation (bench/main.ml): instrumentation off vs on — \
-             results must be identical, only the cost may differ";
-      base = Some "churn-day";
-      overlay = [];
-      axes = [ ("obs", [ "off"; "on" ]) ] };
     { name = "exposure-matrix";
       doc = "the paper's exposure sweep: churn model x adversary fraction \
              x guard policy over one Small day";

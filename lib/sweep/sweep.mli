@@ -50,8 +50,8 @@ type vars = {
   days : float;       (** simulated measurement duration *)
   churn : churn;
   consensus : consensus;
-  delta : int;        (** delta-state LRU capacity; 0 disables *)
-  obs : bool;         (** Qs_obs instrumentation during the cell *)
+  delta : int;        (** delta-state LRU capacity in origins; 0
+                          full-computes every outcome *)
   adversary : float;  (** fraction f of malicious ASes; 0 = no adversary *)
   guards : guards;
   threshold : float;  (** F3R contiguous-residency threshold, seconds *)
@@ -59,8 +59,8 @@ type vars = {
 
 val default_vars : vars
 (** Small scenario, seed 1, one simulated day, baseline churn, frozen
-    consensus (no M2 stage), stock delta-state capacity (512),
-    instrumentation on, no adversary, 3 guards / 30 days, the paper's
+    consensus (no M2 stage), stock delta-state capacity (512), no
+    adversary, 3 guards / 30 days, the paper's
     300 s exposure threshold. *)
 
 val known_keys : (string * string) list
@@ -108,7 +108,7 @@ type entry = {
 }
 
 val builtin : entry list
-(** The shipped registry: the ported AB-delta/AB-obs ablations,
+(** The shipped registry: the ported AB-delta ablation,
     the paper's exposure matrix, the trace-churn day, the M2
     frozen-vs-living consensus pair, and the tiny CI matrix. *)
 

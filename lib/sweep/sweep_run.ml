@@ -85,7 +85,6 @@ let vars_fields (v : Sweep.vars) =
     ("churn", jstr (Sweep.churn_to_string v.Sweep.churn));
     ("consensus", jstr (Sweep.consensus_to_string v.Sweep.consensus));
     ("delta", string_of_int v.Sweep.delta);
-    ("obs", if v.Sweep.obs then "true" else "false");
     ("adversary", jfloat v.Sweep.adversary);
     ("guards", jstr (Sweep.guards_to_string v.Sweep.guards));
     ("threshold", jfloat v.Sweep.threshold) ]
@@ -207,13 +206,9 @@ let cell_samples (m : Measurement.t) (f3l : Path_changes.t)
 let run_cell entry_name (c : Sweep.cell) =
   let v = c.Sweep.vars in
   let t0 = Clock.now () in
-  let prev_enabled = Metrics.enabled () in
   Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled prev_enabled;
-      Metrics.observe m_cell_seconds (Clock.now () -. t0))
+    ~finally:(fun () -> Metrics.observe m_cell_seconds (Clock.now () -. t0))
   @@ fun () ->
-  Metrics.set_enabled v.Sweep.obs;
   (* Intra-cell stages run on an inline jobs=1 pool: this function may
      itself be a task on the matrix pool, and submitting back into the
      pool you run on deadlocks by design. An inline pool spawns no
@@ -339,15 +334,7 @@ let run ?(registry = Sweep.builtin) ?exec entry =
       Metrics.incr m_runs;
       Metrics.add m_cells (List.length cells);
       let pool = match exec with Some p -> p | None -> Pool.default () in
-      (* [Metrics.set_enabled] is process-global, so a matrix with an
-         obs=off cell must not run cells concurrently — one cell's toggle
-         would silence its neighbours' instrumentation mid-run. Results
-         are vars-pure either way; only the wall-clock differs. *)
-      let serial = List.exists (fun c -> not c.Sweep.vars.Sweep.obs) cells in
-      let results =
-        if serial then List.map (run_cell entry.Sweep.name) cells
-        else Pool.map_list pool (run_cell entry.Sweep.name) cells
-      in
+      let results = Pool.map_list pool (run_cell entry.Sweep.name) cells in
       Ok { entry; results; index_json = index_json_of entry results }
 
 let print_table ppf t =

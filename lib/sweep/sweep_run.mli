@@ -12,10 +12,7 @@
     submission-order reduction, intra-cell parallel stages run on inline
     [jobs = 1] pools, and no artifact embeds a timing or a worker count —
     so a matrix's results directory is byte-identical across reruns and
-    across [--jobs] settings. The one exception forced by a global knob:
-    a matrix containing an [obs = off] cell runs its cells sequentially,
-    because {!Metrics.set_enabled} is process-wide (the outputs are
-    unchanged, only the wall-clock is). *)
+    across [--jobs] settings. *)
 
 type headline = {
   updates : int;            (** post-emission update count of the run *)

@@ -1,7 +1,9 @@
 (* Tests for qs_obs: registration idempotence, hot-path write semantics,
    quantile readout, shard-merge conservation (qcheck, through the real
    pool at several worker counts), span nesting, the clock shim, the
-   registry-vs-legacy-stats pins, and the golden metrics snapshot.
+   registry-vs-legacy-stats pins, the metrics-off ablation (measured
+   numbers never depend on instrumentation), and the golden metrics
+   snapshot.
 
    Updating the golden: after an intentional schema or counter change,
    dump the freshly masked snapshot with
@@ -317,6 +319,38 @@ let test_registry_matches_legacy_stats () =
         (counter_value "dynamics.updates_emitted")
         (counter_value "session_reset.pushed")
 
+(* ---- instrumentation never changes a measured number ------------------ *)
+
+(* The correctness half of the AB-obs ablation (bench/main.ml keeps the
+   cost half): with every registry write a no-op, the same measurement
+   must render the same F3L/F3R text and the same cells. *)
+let test_metrics_off_measurement_equal () =
+  let s = Scenario.build ~seed:1 Scenario.Small in
+  let dynamics = { Dynamics.short_config with Dynamics.duration = 1800. } in
+  let measure () =
+    let before = counter_value "measurement.updates" in
+    let m = Measurement.run ~dynamics s in
+    let text =
+      Pool.with_pool ~jobs:1 (fun exec ->
+          Format.asprintf "%a%a" Path_changes.print
+            (Path_changes.compute ~exec m) As_exposure.print
+            (As_exposure.compute ~exec m))
+    in
+    (text, m.Measurement.cells,
+     counter_value "measurement.updates" - before)
+  in
+  let was = Metrics.enabled () in
+  let off_text, off_cells, off_counted =
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () ->
+        Metrics.set_enabled false;
+        measure ())
+  in
+  let on_text, on_cells, on_counted = measure () in
+  check_int "metrics off: nothing counted" 0 off_counted;
+  check_bool "metrics on: updates counted" true (on_counted > 0);
+  check_str "F3L/F3R render identical" on_text off_text;
+  check_bool "cells identical" true (on_cells = off_cells)
+
 (* ---- golden metrics snapshot ------------------------------------------ *)
 
 let index_of ~needle hay =
@@ -451,5 +485,8 @@ let () =
       ("legacy",
        [ Alcotest.test_case "registry pins legacy stats" `Quick
            test_registry_matches_legacy_stats ]);
+      ("ablation",
+       [ Alcotest.test_case "metrics off measurement-equal" `Quick
+           test_metrics_off_measurement_equal ]);
       ("golden",
        [ Alcotest.test_case "masked snapshot" `Quick test_golden_snapshot ]) ]

@@ -575,27 +575,39 @@ let replay_attacks s =
        ~rng:(Scenario.rng_for s "serve") ~n_attacks:3
        ~duration:replay_dynamics.Dynamics.duration s)
 
+(* The same six hours under trace-shaped session churn: the generator
+   draws from the scenario's "trace-churn" stream, which the batch and
+   streaming arms must share (one feed), or every later draw is re-timed
+   and thousands of cells diverge. *)
+let trace_dynamics =
+  { replay_dynamics with Dynamics.session_churn = Some Churn.pareto_day }
+
 let test_replay_matches_batch () =
   let s = Lazy.force replay_scenario in
   let extra = replay_attacks s in
   check_bool "attacks were injected" true (extra <> []);
   Pool.with_pool ~jobs:2 @@ fun exec ->
-  let r =
-    Serve.replay ~dynamics:replay_dynamics ~extra_updates:extra
-      ~config:replay_config ~exec s
-  in
-  let m, batch =
-    Serve.batch_alerts ~dynamics:replay_dynamics ~extra_updates:extra
-      ~learning_period:replay_config.Serve.Config.learning_period s
-  in
-  Alcotest.(check (list string)) "streaming = batch, exactly" []
-    (Serve.diff_against_batch r m batch);
-  check_int "no late drops" 0 r.Serve.r_ingest.Ingest.dropped_late;
-  check_int "no overflow" 0 r.Serve.r_ingest.Ingest.dropped_overflow;
-  check_bool "memory bound exercised (evictions observed)" true
-    (r.Serve.r_window.Window.evictions > 0);
-  check_bool "hijacks raised alerts" true (r.Serve.r_alerts <> []);
-  check_bool "no conformance violations" true (r.Serve.r_violations = [])
+  List.iter
+    (fun (label, dynamics) ->
+       let check_bool msg = check_bool (label ^ ": " ^ msg) in
+       let check_int msg = check_int (label ^ ": " ^ msg) in
+       let r =
+         Serve.replay ~dynamics ~extra_updates:extra ~config:replay_config
+           ~exec s
+       in
+       let m, batch =
+         Serve.batch_alerts ~dynamics ~extra_updates:extra
+           ~learning_period:replay_config.Serve.Config.learning_period s
+       in
+       Alcotest.(check (list string)) (label ^ ": streaming = batch, exactly")
+         [] (Serve.diff_against_batch r m batch);
+       check_int "no late drops" 0 r.Serve.r_ingest.Ingest.dropped_late;
+       check_int "no overflow" 0 r.Serve.r_ingest.Ingest.dropped_overflow;
+       check_bool "memory bound exercised (evictions observed)" true
+         (r.Serve.r_window.Window.evictions > 0);
+       check_bool "hijacks raised alerts" true (r.Serve.r_alerts <> []);
+       check_bool "no conformance violations" true (r.Serve.r_violations = []))
+    [ ("poisson churn", replay_dynamics); ("trace churn", trace_dynamics) ]
 
 let test_replay_jobs_identity () =
   let s = Lazy.force replay_scenario in

@@ -2,8 +2,7 @@
    resolution, row-major matrix expansion, the static validator's problem
    classes (the deeper per-class checks live in test_lint.ml with QS308),
    the dynamics presets, and the runner's determinism contract — equal
-   bytes across worker counts and reruns, and measurement-equal results
-   for the obs on/off ablation. *)
+   bytes across worker counts and reruns. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -24,7 +23,6 @@ let test_set_parses_and_ranges () =
   check_bool "size" true ((set_exn v "size" "paper").Sweep.size = Scenario.Paper);
   check_int "seed" 7 (set_exn v "seed" "7").Sweep.seed;
   check_bool "churn" true ((set_exn v "churn" "heavy").Sweep.churn = Sweep.Heavy);
-  check_bool "obs off" false (set_exn v "obs" "off").Sweep.obs;
   check_bool "guards none" true
     ((set_exn v "guards" "none").Sweep.guards = Sweep.No_guards);
   check_bool "guards rotating" true
@@ -44,6 +42,8 @@ let test_set_parses_and_ranges () =
   check_bool "adversary above 1 rejected" true (rejected "adversary" "1.5");
   check_bool "removed cache key rejected as unknown" true
     (rejected "cache" "512");
+  check_bool "removed obs key rejected as unknown" true
+    (rejected "obs" "off");
   check_bool "negative threshold rejected" true (rejected "threshold" "-1");
   check_bool "guards 0/10 rejected" true (rejected "guards" "0/10");
   check_bool "guards garbage rejected" true (rejected "guards" "three");
@@ -179,20 +179,6 @@ let test_run_deterministic () =
   check_int "distinct cells, distinct fingerprints" 2
     (List.length (List.sort_uniq String.compare fingerprints))
 
-let test_run_obs_ablation () =
-  (* The AB-obs contract, ported onto the registry: instrumentation must
-     never change a measured number, so the obs=off and obs=on cells
-     agree on every headline (their identities still differ — obs is a
-     canonical binding). *)
-  let t = run_exn (tiny_axes [ ("obs", [ "off"; "on" ]) ]) in
-  match t.Sweep_run.results with
-  | [ off; on ] ->
-      check_bool "headlines identical" true
-        (off.Sweep_run.headline = on.Sweep_run.headline);
-      check_bool "identities differ" true
-        (off.Sweep_run.fingerprint <> on.Sweep_run.fingerprint)
-  | _ -> Alcotest.fail "expected two cells"
-
 let test_run_rejects_invalid () =
   let bad = entry "bad" ~overlay:[ ("churn", "torrential") ] in
   match Sweep_run.run ~registry:(registry_with bad) bad with
@@ -258,8 +244,6 @@ let () =
       ("runner",
        [ Alcotest.test_case "deterministic across jobs and reruns" `Quick
            test_run_deterministic;
-         Alcotest.test_case "obs ablation measurement-equal" `Quick
-           test_run_obs_ablation;
          Alcotest.test_case "invalid entry rejected" `Quick
            test_run_rejects_invalid;
          Alcotest.test_case "trace churn deterministic across jobs" `Quick

@@ -20,7 +20,13 @@
 #      SplitMix64 Qs_net.Rng) — Random.self_init is nondeterminism by
 #      definition, and even seeded Stdlib.Random draws from global state
 #      that any other caller can advance, so equal seeds would stop giving
-#      equal scenarios.
+#      equal scenarios;
+#   6. Dynamics.run must not be called under lib/ outside
+#      lib/core/measurement.ml, nor Session_reset.create under lib/serve/
+#      — Measurement.feed is the one place the measurement feed (dynamics
+#      streams, reset filter, extra-update merge) is built, so batch and
+#      streaming consumers cannot drift apart. bin/, tests, bench and
+#      perfbench drive the raw dynamics on purpose and stay exempt.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -62,6 +68,15 @@ if grep -rn --include='*.ml' --include='*.mli' \
      -e 'Random\.int\b' -e 'Random\.float\b' \
      lib bin examples bench | grep -v '^lib/net/'; then
   echo "check_mli: Stdlib Random outside lib/net/ (use the seeded Qs_net.Rng)" >&2
+  fail=1
+fi
+
+feed_forks=$( (grep -rn --include='*.ml' -e 'Dynamics\.run\b' lib \
+                 | grep -v '^lib/core/measurement\.ml:';
+               grep -rn --include='*.ml' -e 'Session_reset\.create' lib/serve) )
+if [ -n "$feed_forks" ]; then
+  echo "$feed_forks"
+  echo "check_mli: measurement feed built outside lib/core/measurement.ml (use Measurement.feed)" >&2
   fail=1
 fi
 
